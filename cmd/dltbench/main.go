@@ -30,8 +30,8 @@
 //	dltbench -experiment E20 -backlog-ttl 30s             # age-based backlog eviction
 //	dltbench -list               # show the registry
 //	dltbench -timing             # append the wall-clock/speedup table
-//	dltbench -bench-report -bench-out BENCH_010.json      # commit a perf baseline
-//	dltbench -bench-compare BENCH_010.json                # live regression gate
+//	dltbench -bench-report -bench-out BENCH_012.json      # commit a perf baseline
+//	dltbench -bench-compare BENCH_012.json                # live regression gate
 //	dltbench -bench-compare old.json -bench-candidate new.json  # diff two files
 package main
 

@@ -31,6 +31,10 @@ type Tx struct {
 	Data     []byte
 	PubKey   ed25519.PublicKey
 	Sig      []byte
+
+	// verified memoizes a successful VerifySig: mempool admission and
+	// every node's block validation of the same *Tx share one check.
+	verified keys.SigMemo
 }
 
 // txWireOverhead is the modeled fixed encoding cost of a transaction.
@@ -90,11 +94,7 @@ func (tx *Tx) Sign(kp *keys.KeyPair) {
 
 // VerifySig checks the signature and that PubKey matches From.
 func (tx *Tx) VerifySig() bool {
-	if keys.AddressOf(tx.PubKey) != tx.From {
-		return false
-	}
-	digest := tx.SigHash()
-	return keys.Verify(tx.PubKey, digest[:], tx.Sig)
+	return tx.verified.Verify(tx.From, tx.PubKey, tx.SigHash(), tx.Sig)
 }
 
 // IntrinsicGas is the gas charged before any execution.

@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -240,5 +241,71 @@ func TestProcessBatchDuplicates(t *testing.T) {
 	}
 	if lat.BlockCount() != 2 { // genesis + one send
 		t.Fatalf("block count %d, want 2", lat.BlockCount())
+	}
+}
+
+// ProcessBatch reads the signature memo from its workers and writes it
+// back serially. A batch that mixes memo hits (pointers a previous
+// lattice already verified), misses (fresh value copies), a forged copy
+// and a duplicate pointer must give the per-block results serial
+// Process gives, and must leave the same memo behind.
+func TestProcessBatchMixedMemoMatchesSerial(t *testing.T) {
+	ring := keys.NewRing("batch-memo", 8)
+	stream := buildWorkload(t, ring, 8, 40, 3) // the oracle memoized every block
+	forgeAt := len(stream) / 2
+	mixed := func() []*Block {
+		out := make([]*Block, 0, len(stream)+2)
+		for i, b := range stream {
+			if i%2 == 1 {
+				cp := *b
+				b = &cp
+			}
+			if i == forgeAt {
+				forged := *b
+				forged.Sig = append([]byte(nil), b.Sig...)
+				forged.Sig[0] ^= 0xff
+				out = append(out, &forged)
+			}
+			out = append(out, b)
+		}
+		return append(out, out[len(out)-1])
+	}
+
+	serialIn, batchIn := mixed(), mixed()
+	hits := 0
+	for _, b := range batchIn {
+		if b.verified.Hit(b.Hash()) {
+			hits++
+		}
+	}
+	if hits == 0 || hits == len(batchIn) {
+		t.Fatalf("%d of %d blocks start as memo hits; want a mix", hits, len(batchIn))
+	}
+	serial, _, err := New(ring.Pair(0), 1<<30, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Result, len(serialIn))
+	for i, b := range serialIn {
+		want[i] = serial.Process(b)
+	}
+	batch, _, err := New(ring.Pair(0), 1<<30, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := batch.ProcessBatch(batchIn, 4)
+	for i := range want {
+		if got[i].Status != want[i].Status || fmt.Sprint(got[i].Err) != fmt.Sprint(want[i].Err) {
+			t.Fatalf("block %d: batch %v (%v), serial %v (%v)", i, got[i].Status, got[i].Err, want[i].Status, want[i].Err)
+		}
+		if hb, hs := batchIn[i].verified.Hit(batchIn[i].Hash()), serialIn[i].verified.Hit(serialIn[i].Hash()); hb != hs {
+			t.Fatalf("block %d: batch memo %v, serial memo %v", i, hb, hs)
+		}
+	}
+	if forged := batchIn[forgeAt]; got[forgeAt].Status != Rejected || forged.verified.Hit(forged.Hash()) {
+		t.Fatalf("forged block: %v, memo hit %v; want Rejected and no memo", got[forgeAt].Status, forged.verified.Hit(forged.Hash()))
+	}
+	if !equalFingerprints(fingerprint(batch, ring), fingerprint(serial, ring)) {
+		t.Fatal("batch state diverged from serial")
 	}
 }

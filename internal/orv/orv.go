@@ -118,15 +118,9 @@ type Vote struct {
 	PubKey ed25519.PublicKey
 	Sig    []byte
 
-	// memoSelf/memoDigest cache a positive Verify outcome: the digest
-	// that carried a valid signature, valid only while memoSelf still
-	// points at this exact Vote value (a copied vote re-verifies). A
-	// broadcast vote is one shared pointer delivered to every node, so
-	// one ed25519 check serves the whole network; re-deriving the cheap
-	// digest on every call keeps a vote whose content is mutated after a
-	// successful check from riding the memo. Only success is cached.
-	memoSelf   *Vote
-	memoDigest hashx.Hash
+	// verified memoizes a successful Verify: a broadcast vote is one
+	// shared pointer delivered to every node.
+	verified keys.SigMemo
 }
 
 // voteWireSize models the network cost of one vote message.
@@ -155,25 +149,11 @@ func NewVote(kp *keys.KeyPair, block hashx.Hash, seq uint64) *Vote {
 	return v
 }
 
-// Verify checks the vote signature and key/address binding. A positive
-// outcome is memoized per pointer keyed by the content digest (see
-// memoSelf): every node after the first pays only the digest hash, not
-// ed25519 — and a vote mutated after a successful check re-verifies,
-// because its digest no longer matches the memoized one.
+// Verify checks the vote signature and key/address binding. Success is
+// memoized (see verified): every node after the first pays only the
+// digest hash, not ed25519.
 func (v *Vote) Verify() bool {
-	digest := voteDigest(v)
-	if v.memoSelf == v && digest == v.memoDigest {
-		return true
-	}
-	if keys.AddressOf(v.PubKey) != v.Rep {
-		return false
-	}
-	if !keys.Verify(v.PubKey, digest[:], v.Sig) {
-		return false
-	}
-	v.memoSelf = v
-	v.memoDigest = digest
-	return true
+	return v.verified.Verify(v.Rep, v.PubKey, voteDigest(v), v.Sig)
 }
 
 // Config tunes the tracker.

@@ -124,9 +124,11 @@ type Result struct {
 
 // measure times op, which must perform exactly n operations per call,
 // growing n until the run lasts at least target. It reports per-op wall
-// time and heap cost. The allocation counters come from MemStats deltas
-// around the timed run, so they are exact for a single-goroutine op and
-// deterministic for a seeded workload.
+// time and heap cost. The heap counters are process-wide MemStats deltas
+// around the timed run, so the Go runtime's own background allocations
+// leak in; like testing.B, measure reports whole bytes and allocations
+// per op, which truncates that fraction away and keeps a seeded
+// workload's counts deterministic.
 func measure(target time.Duration, op func(n int)) Result {
 	if target <= 0 {
 		target = time.Second
@@ -148,8 +150,8 @@ func measure(target time.Duration, op func(n int)) Result {
 			}
 			return Result{
 				NsPerOp:     float64(elapsed.Nanoseconds()) / float64(n),
-				BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
-				AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(n),
+				BytesPerOp:  float64((after.TotalAlloc - before.TotalAlloc) / uint64(n)),
+				AllocsPerOp: float64((after.Mallocs - before.Mallocs) / uint64(n)),
 				Iters:       n,
 			}
 		}

@@ -56,10 +56,8 @@ type Vertex struct {
 	memoSelf *Vertex
 	memoHash hashx.Hash
 
-	// memoSigSelf/memoSigOK cache a positive VerifySig outcome; failure
-	// is never cached, so a swapped Sig cannot be laundered.
-	memoSigSelf *Vertex
-	memoSigOK   bool
+	// verified memoizes a successful VerifySig.
+	verified keys.SigMemo
 }
 
 // wireSize is the modeled encoding of a vertex: issuer + seq + two
@@ -106,22 +104,10 @@ func (v *Vertex) sign(kp *keys.KeyPair) {
 }
 
 // VerifySig checks the issuer signature and that PubKey matches Issuer.
-// Success is memoized per pointer; the same *Vertex flooding every
-// simulated node costs one ed25519 verification total.
+// Success is memoized; the same *Vertex flooding every simulated node
+// costs one ed25519 verification total.
 func (v *Vertex) VerifySig() bool {
-	if v.memoSigSelf == v && v.memoSigOK {
-		return true
-	}
-	if keys.AddressOf(v.PubKey) != v.Issuer {
-		return false
-	}
-	digest := v.Hash()
-	if !keys.Verify(v.PubKey, digest[:], v.Sig) {
-		return false
-	}
-	v.memoSigSelf = v
-	v.memoSigOK = true
-	return true
+	return v.verified.Verify(v.Issuer, v.PubKey, v.Hash(), v.Sig)
 }
 
 // NewVertex builds and signs a payment vertex approving the two parents.

@@ -58,15 +58,10 @@ type Tx struct {
 	Outs           []TxOut
 	CoinbaseHeight uint64
 
-	// memoSigSelf/memoSigsOK cache an all-inputs-signatures-valid verdict
-	// while memoSigSelf still points at this exact Tx value (a copied Tx
-	// re-verifies). The signatures cover SigHash — pure transaction
-	// content — so the verdict holds at every ledger the same pointer is
-	// submitted to; the state-dependent checks (output existence, owner
-	// binding, amounts) are NOT cached and re-run per ledger. Only
-	// success is cached: a failing input re-verifies on every call.
-	memoSigSelf *Tx
-	memoSigsOK  bool
+	// verified memoizes an all-input-signatures-valid verdict over
+	// SigHash; the state checks (outputs, owners, amounts) re-run at
+	// every ledger.
+	verified keys.SigMemo
 }
 
 // IsCoinbase reports whether the transaction mints the block reward.
@@ -289,15 +284,8 @@ func (s *Set) CheckTx(tx *Tx) (fee uint64, err error) {
 	if tx.IsCoinbase() {
 		return 0, errors.New("utxo: CheckTx does not accept coinbase transactions")
 	}
-	// Signatures cover pure transaction content, so one verified pass
-	// serves every ledger this pointer reaches (the memo); the state
-	// checks below always re-run against this set.
-	sigsMemoed := tx.memoSigSelf == tx && tx.memoSigsOK
-	var digest hashx.Hash
-	if !sigsMemoed {
-		digest = tx.SigHash()
-	}
 	var inSum uint64
+	bad := -1
 	seen := make(map[Outpoint]bool, len(tx.Ins))
 	for i, in := range tx.Ins {
 		if seen[in.Prev] {
@@ -311,7 +299,12 @@ func (s *Set) CheckTx(tx *Tx) (fee uint64, err error) {
 		if keys.AddressOf(in.PubKey) != out.Owner {
 			return 0, fmt.Errorf("%w: input %d", ErrWrongOwner, i)
 		}
-		if !sigsMemoed && !keys.Verify(in.PubKey, digest[:], in.Sig) {
+		if i == 0 {
+			// One pass over every input's signature, recorded whatever
+			// the later inputs' state checks say.
+			bad = tx.firstBadSig()
+		}
+		if i == bad {
 			return 0, fmt.Errorf("%w: input %d", ErrBadSignature, i)
 		}
 		next := inSum + out.Value
@@ -320,9 +313,6 @@ func (s *Set) CheckTx(tx *Tx) (fee uint64, err error) {
 		}
 		inSum = next
 	}
-	// Every input signature verified (or was already memoed as valid).
-	tx.memoSigSelf = tx
-	tx.memoSigsOK = true
 	var outSum uint64
 	for _, out := range tx.Outs {
 		next := outSum + out.Value
@@ -335,6 +325,23 @@ func (s *Set) CheckTx(tx *Tx) (fee uint64, err error) {
 		return 0, fmt.Errorf("%w: in=%d out=%d", ErrInsufficient, inSum, outSum)
 	}
 	return inSum - outSum, nil
+}
+
+// firstBadSig returns the index of the first input whose signature over
+// SigHash does not verify, or -1 when all do. Success is memoized (see
+// verified), so every later check of the same pointer skips ed25519.
+func (tx *Tx) firstBadSig() int {
+	digest := tx.SigHash()
+	if tx.verified.Hit(digest) {
+		return -1
+	}
+	for i, in := range tx.Ins {
+		if !keys.Verify(in.PubKey, digest[:], in.Sig) {
+			return i
+		}
+	}
+	tx.verified.Record(digest)
+	return -1
 }
 
 // spentOutput records one consumed output for undo.

@@ -166,6 +166,53 @@ func TestCheckTxRejections(t *testing.T) {
 	})
 }
 
+// Signature validity is recorded independently of the state checks: a
+// transaction whose second input is missing from one set has still had
+// every signature verified once, so checking it against a set that holds
+// both inputs needs no second ed25519 pass. A transaction whose first
+// input fails its state check is refused before any signature work.
+func TestCheckTxStateFailureKeepsSigVerdict(t *testing.T) {
+	r := ring(2)
+	fundA, fundB := NewCoinbase(1, r.Addr(0), 50), NewCoinbase(2, r.Addr(0), 50)
+	partial, full := NewSet(), NewSet()
+	partial.applyTx(fundA, &Undo{})
+	full.applyTx(fundA, &Undo{})
+	full.applyTx(fundB, &Undo{})
+	tx := &Tx{
+		Ins:  []TxIn{{Prev: Outpoint{TxID: fundA.ID()}}, {Prev: Outpoint{TxID: fundB.ID()}}},
+		Outs: []TxOut{{Value: 90, Owner: r.Addr(1)}},
+	}
+	tx.SignAll(r.Pair(0))
+
+	if _, err := NewSet().CheckTx(tx); !errors.Is(err, ErrMissingOutput) {
+		t.Fatalf("empty set: err = %v", err)
+	}
+	if tx.verified.Hit(tx.SigHash()) {
+		t.Fatal("signatures verified for a transaction refused at its first input")
+	}
+	if _, err := partial.CheckTx(tx); !errors.Is(err, ErrMissingOutput) {
+		t.Fatalf("partial set: err = %v", err)
+	}
+	if !tx.verified.Hit(tx.SigHash()) {
+		t.Fatal("a later input's state failure discarded the signature verdict")
+	}
+	if fee, err := full.CheckTx(tx); err != nil || fee != 10 {
+		t.Fatalf("full set: fee %d, err %v", fee, err)
+	}
+
+	// The first bad signature is still reported at its own input, after
+	// the state checks of the inputs before it.
+	bad := &Tx{Ins: append([]TxIn(nil), tx.Ins...), Outs: tx.Outs}
+	bad.Ins[1].Sig = append([]byte(nil), tx.Ins[1].Sig...)
+	bad.Ins[1].Sig[0] ^= 0xff
+	if _, err := full.CheckTx(bad); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("bad second signature: err = %v", err)
+	}
+	if _, err := partial.CheckTx(bad); !errors.Is(err, ErrMissingOutput) {
+		t.Fatalf("missing second input reported before its bad signature: err = %v", err)
+	}
+}
+
 func TestApplyBlockAndUndoRoundTrip(t *testing.T) {
 	r := ring(3)
 	set := NewSet()
