@@ -18,13 +18,10 @@ func TestValidateKnobs(t *testing.T) {
 		eclipseFrac: 1, selfishAlpha: 0.45, selfishGamma: 1,
 		withholdWeight: 1, partitionFrac: 0.5, churnNodes: 3, dsTrials: 10,
 		syncPullBatch: 65536, backlogCap: 1 << 20, backlogTTL: 24 * time.Hour,
-		queue: "calendar", megaNodes: 10_000_000,
+		megaNodes: 10_000_000,
 		paradigms: []string{"bitcoin", "ethereum", "nano", "tangle"},
 	}); err != nil {
 		t.Fatalf("in-range knobs rejected: %v", err)
-	}
-	if err := validateKnobs(knobRanges{queue: "heap"}); err != nil {
-		t.Fatalf("-queue heap rejected: %v", err)
 	}
 	if err := validateKnobs(knobRanges{paradigms: []string{"all"}}); err != nil {
 		t.Fatalf("-paradigm all rejected: %v", err)
@@ -50,7 +47,6 @@ func TestValidateKnobs(t *testing.T) {
 		{"-backlog-cap", knobRanges{backlogCap: 1<<20 + 1}},
 		{"-backlog-ttl", knobRanges{backlogTTL: -time.Second}},
 		{"-backlog-ttl", knobRanges{backlogTTL: 25 * time.Hour}},
-		{"-queue", knobRanges{queue: "fibonacci"}},
 		{"-mega-nodes", knobRanges{megaNodes: -1}},
 		{"-mega-nodes", knobRanges{megaNodes: 10_000_001}},
 		{"-paradigm", knobRanges{paradigms: []string{"iota"}}},

@@ -1,10 +1,9 @@
 package core
 
 // E19 acceptance properties: the scaling-law table must be a pure
-// function of (Seed, Scale) — identical for any event-queue shard count
-// K and any worker count — and every sweep row must actually carry
-// traffic (the floored workload guarantees at least one settled
-// transfer even at tiny test scales).
+// function of (Seed, Scale) — identical for any worker count — and
+// every sweep row must actually carry traffic (the floored workload
+// guarantees at least one settled transfer even at tiny test scales).
 
 import (
 	"context"
@@ -29,20 +28,14 @@ func renderE19(t *testing.T, cfg Config) string {
 	return sb.String()
 }
 
-// The sharded event loop must be invisible in the results: E19 renders
-// byte-identically for K = 1, 4, 8 lanes and for any sweep-point
-// fan-out width.
-func TestE19ShardAndWorkerInvariance(t *testing.T) {
+// The sweep-point fan-out must be invisible in the results: E19 renders
+// byte-identically for any worker count.
+func TestE19WorkerInvariance(t *testing.T) {
 	base := Config{Seed: 11, Scale: 0.02}
-	serial := renderE19(t, Config{Seed: base.Seed, Scale: base.Scale, Shards: 1, Workers: 1})
-	for _, variant := range []Config{
-		{Seed: base.Seed, Scale: base.Scale, Shards: 4, Workers: 1},
-		{Seed: base.Seed, Scale: base.Scale, Shards: 8, Workers: DefaultWorkers()},
-		{Seed: base.Seed, Scale: base.Scale, Shards: 1, Workers: 4},
-	} {
-		if got := renderE19(t, variant); got != serial {
-			t.Fatalf("E19 diverged at shards=%d workers=%d:\n--- got ---\n%s\n--- want ---\n%s",
-				variant.Shards, variant.Workers, got, serial)
+	serial := renderE19(t, Config{Seed: base.Seed, Scale: base.Scale, Workers: 1})
+	for _, workers := range []int{4, DefaultWorkers()} {
+		if got := renderE19(t, Config{Seed: base.Seed, Scale: base.Scale, Workers: workers}); got != serial {
+			t.Fatalf("E19 diverged at workers=%d:\n--- got ---\n%s\n--- want ---\n%s", workers, got, serial)
 		}
 	}
 }

@@ -272,7 +272,7 @@ func RunE10BlockSize(ctx context.Context, cfg Config) (*metrics.Table, error) {
 		params.GenesisOutputsPerAccount = 64
 		net, err := netsim.NewBitcoin(netsim.BitcoinConfig{
 			Net: netsim.NetParams{
-				Nodes: 10, PeerDegree: 3, Seed: cfg.Seed, Shards: cfg.Shards, Queue: cfg.queue(),
+				Nodes: 10, PeerDegree: 3, Seed: cfg.Seed,
 				MinLatency:  50 * time.Millisecond,
 				MaxLatency:  300 * time.Millisecond,
 				BytesPerSec: 100_000, // consumer-grade links

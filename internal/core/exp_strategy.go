@@ -22,7 +22,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/pow"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -170,7 +169,7 @@ const e17SelfishNodes = 8
 // The threshold test reuses this constructor at longer horizons, so the
 // network the classic-threshold assertions run on is exactly the one the
 // E17 table sweeps.
-func e17SelfishNet(seed int64, alpha float64, shards int, queue sim.QueueBackend) (*netsim.BitcoinNet, error) {
+func e17SelfishNet(seed int64, alpha float64) (*netsim.BitcoinNet, error) {
 	const nodes = e17SelfishNodes
 	rates := make([]float64, nodes)
 	for i := 0; i < nodes-1; i++ {
@@ -182,7 +181,7 @@ func e17SelfishNet(seed int64, alpha float64, shards int, queue sim.QueueBackend
 	}
 	return netsim.NewBitcoin(netsim.BitcoinConfig{
 		Net: netsim.NetParams{
-			Nodes: nodes, PeerDegree: 3, Seed: seed, Shards: shards, Queue: queue,
+			Nodes: nodes, PeerDegree: 3, Seed: seed,
 			MinLatency: 20 * time.Millisecond, MaxLatency: 150 * time.Millisecond,
 		},
 		BlockInterval: 10 * time.Second, Accounts: 32, InitialBalance: 1 << 32,
@@ -198,7 +197,7 @@ func e17SelfishNet(seed int64, alpha float64, shards int, queue sim.QueueBackend
 // itself.
 func e17Selfish(cfg Config, alpha float64) ([]string, error) {
 	const nodes = e17SelfishNodes
-	net, err := e17SelfishNet(cfg.Seed+17, alpha, cfg.Shards, cfg.queue())
+	net, err := e17SelfishNet(cfg.Seed+17, alpha)
 	if err != nil {
 		return nil, err
 	}

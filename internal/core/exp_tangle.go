@@ -226,6 +226,6 @@ func RunE21TangleConfirmation(ctx context.Context, cfg Config) (*metrics.Table, 
 	t.AddNote("confirm-weight is the cumulative-coverage threshold: the cooperative analogue of §IV-A's depth rules — higher thresholds buy confidence with latency")
 	t.AddNote("the parasite chain withholds vertices into a hidden sub-tangle and floods it at the release depth (tip-selection Behavior seam)")
 	t.AddNote("under pure cumulative weight the released sub-tangle self-certifies (attacker-confirmed > 0) — the known weakness that makes production tangles bias tip selection against side-chains")
-	t.AddNote("cells derive from deterministic counters only — tables are identical for any Workers and any Shards value")
+	t.AddNote("cells derive from deterministic counters only — tables are identical for any Workers")
 	return t, nil
 }

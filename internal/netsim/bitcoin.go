@@ -151,7 +151,7 @@ func (b *BitcoinNet) Runtime() *NodeRuntime { return b.chain.rt }
 
 // ScheduleColdStart detaches node at detachAt and rejoins it at
 // rejoinAt, range-pulling the main chain from a live peer in windows of
-// batch blocks (E20's bootstrap scenario). Arms sync recovery mode.
+// batch blocks (E20's bootstrap scenario). Arms the sync manager.
 func (b *BitcoinNet) ScheduleColdStart(node int, detachAt, rejoinAt time.Duration, batch int) {
 	b.chain.scheduleColdStart(node, detachAt, rejoinAt, batch)
 }

@@ -236,7 +236,7 @@ func (e *EthereumNet) FFG() *pos.FFG { return e.ffg }
 
 // ScheduleColdStart detaches node at detachAt and rejoins it at
 // rejoinAt, range-pulling the main chain from a live peer in windows of
-// batch blocks (E20's bootstrap scenario). Arms sync recovery mode.
+// batch blocks (E20's bootstrap scenario). Arms the sync manager.
 func (e *EthereumNet) ScheduleColdStart(node int, detachAt, rejoinAt time.Duration, batch int) {
 	e.chain.scheduleColdStart(node, detachAt, rejoinAt, batch)
 }

@@ -286,20 +286,12 @@ type ingestEntry struct {
 
 // EnableGapRepair arms the sync manager's pull-based bootstrapping that
 // lets nodes recover ancestors they missed (partitions, churn, lossy
-// periods), at the legacy-compatible level: pulls pin to the original
-// sender and give up when the attempt budget is spent, replaying the
-// historical event stream byte for byte (the pinned fault tables depend
-// on it). Off by default: the repair timers would reorder the event
-// sequence of healthy runs and perturb their byte-exact tables.
+// periods): pulls whose target churns out re-target to a live peer, and
+// exhausted attempt budgets re-arm with capped backoff instead of
+// abandoning the gap. Off by default: the repair timers would reorder
+// the event sequence of healthy runs and perturb their byte-exact
+// tables.
 func (n *NanoNet) EnableGapRepair() { n.sync.arm() }
-
-// EnableSyncRecovery arms the sync manager with the repaired failure
-// handling on top: pulls whose target churns out re-target to a live
-// peer, and exhausted attempt budgets re-arm with capped backoff
-// instead of abandoning the gap forever. Runs armed this way trade
-// byte-compatibility with the historical fault tables for actually
-// recovering.
-func (n *NanoNet) EnableSyncRecovery() { n.sync.armRecovery() }
 
 // NewNano builds the network: identical genesis on every node, an even
 // initial distribution processed everywhere at setup, and weight tables

@@ -5,17 +5,13 @@
 // happens to re-deliver it. This file centralizes that machinery for
 // all three simulators on the NodeRuntime seam:
 //
-//   - Single-block pulls (Pull) replace nano.go's old
-//     scheduleGapRepair/repairTick chain. The legacy cadence is kept
-//     exactly — immediate first request, one retry every
-//     gapRepairDelay, maxGapRepairAttempts per round — so runs where
-//     the legacy chain succeeded replay byte-identically. Two legacy
-//     failure modes are fixed on top: a pull whose target churns out
-//     re-targets to a live peer (the old code burned the whole budget
-//     into a dead link — the network drops a unicast at a detached
-//     target before any rng draw, so those requests were silent
-//     no-ops), and an exhausted budget re-arms with capped exponential
-//     backoff against a rotated target instead of giving up forever.
+//   - Single-block pulls (Pull): an immediate first request, then one
+//     retry every gapRepairDelay, maxGapRepairAttempts per round. A
+//     pull whose target churns out re-targets to a live peer (the
+//     network drops a unicast at a detached target before any rng
+//     draw, so requests to it are silent no-ops), and an exhausted
+//     budget re-arms with capped exponential backoff against a rotated
+//     target.
 //   - Range pulls (StartColdSync) drive bootstrap: the puller walks the
 //     server's canonical history stream window by window until it has
 //     drained it, re-targeting when the server churns out or a window
@@ -36,8 +32,8 @@ import (
 )
 
 // Pull cadence. gapRepairDelay and maxGapRepairAttempts reproduce the
-// historical gap-repair chain exactly; the re-arm knobs bound the new
-// recovery path layered on top of it.
+// historical gap-repair chain, which the fault tables are pinned to;
+// the re-arm knobs bound how long an exhausted pull keeps reviving.
 const (
 	gapRepairDelay       = 150 * time.Millisecond
 	maxGapRepairAttempts = 64
@@ -143,13 +139,6 @@ type syncManager struct {
 	rt    *NodeRuntime
 	stats SyncStats
 	armed bool
-	// recover enables the repaired behavior on top of the legacy
-	// cadence: re-targeting detached pull targets and re-arming
-	// exhausted attempt budgets. Off under plain arm() so fault
-	// schedules replay the historical (buggy) event stream byte for
-	// byte — the golden tables E14/E15/E18 are pinned to; on for cold
-	// syncs and for callers that opt in via armRecovery().
-	recover bool
 	// has reports whether a node already holds a block — the paradigm
 	// supplies it (lattice attachment for Nano, store membership for
 	// the chains).
@@ -169,17 +158,9 @@ func newSyncManager(rt *NodeRuntime, has func(node sim.NodeID, h hashx.Hash) boo
 	}
 }
 
-// arm enables pulls at the legacy-compatible level. Kept separate from
-// construction so honest runs pay no extra events (see package comment).
+// arm enables pulls. Kept separate from construction so honest runs pay
+// no extra events (see package comment).
 func (m *syncManager) arm() { m.armed = true }
-
-// armRecovery enables pulls plus the repaired failure handling
-// (re-target + re-arm). Runs armed this way trade byte-compatibility
-// with the historical fault tables for actually recovering.
-func (m *syncManager) armRecovery() {
-	m.armed = true
-	m.recover = true
-}
 
 // rotateTarget picks a live pull target for node, preferring its own
 // peers (in peer-list order, deterministically — no rng draw) and
@@ -225,12 +206,9 @@ func (m *syncManager) pullTick(node sim.NodeID, missing hashx.Hash, target sim.N
 		return
 	}
 	if attempt >= maxGapRepairAttempts {
-		// The legacy repair chain dropped its bookkeeping here and
-		// nothing ever re-armed: the node stayed gapped forever unless
-		// a fresh duplicate happened to arrive. In recovery mode the
-		// pull revives against a rotated target with capped exponential
-		// backoff instead.
-		if !m.recover || rearms >= maxPullRearms {
+		// Revive against a rotated target with capped exponential
+		// backoff: the missing block may surface on live peers later.
+		if rearms >= maxPullRearms {
 			delete(m.pulling, pullKey{node: node, h: missing})
 			return
 		}
@@ -247,11 +225,8 @@ func (m *syncManager) pullTick(node sim.NodeID, missing hashx.Hash, target sim.N
 		m.stats.Retries++
 	}
 	// A unicast at a detached target is dropped by the network before
-	// it draws any randomness — the legacy chain burned its whole
-	// budget into that dead link. In recovery mode, redirect to a live
-	// peer; while the original target is alive the legacy cadence is
-	// reproduced as-is.
-	if m.recover && m.rt.net.IsDetached(target) && !m.rt.net.IsDetached(node) {
+	// it draws any randomness, so redirect to a live peer.
+	if m.rt.net.IsDetached(target) && !m.rt.net.IsDetached(node) {
 		if alt := m.rotateTarget(node, target); alt != target {
 			target = alt
 			m.stats.Retargets++
@@ -271,7 +246,7 @@ func (m *syncManager) StartColdSync(node, target sim.NodeID, batch int) {
 	if batch <= 0 {
 		batch = defaultPullBatch
 	}
-	m.armRecovery()
+	m.arm()
 	cs := &coldSync{node: node, target: target, batch: batch, started: m.rt.sim.Now()}
 	m.cold[node] = cs
 	m.requestWindow(cs)

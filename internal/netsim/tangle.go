@@ -180,10 +180,6 @@ func (n *TangleNet) Runtime() *NodeRuntime { return n.rt }
 // SyncStats returns the sync manager's pull and backlog counters.
 func (n *TangleNet) SyncStats() SyncStats { return n.sync.stats }
 
-// EnableSyncRecovery arms the sync manager with re-targeting and
-// re-arming, so gap pulls actually recover under churn.
-func (n *TangleNet) EnableSyncRecovery() { n.sync.armRecovery() }
-
 // ScheduleColdStart detaches a node at detachAt and rejoins it at
 // rejoinAt through the sync manager: the node pulls the attachment-
 // ordered vertex stream from a live peer in windows of batch vertices

@@ -48,6 +48,7 @@ type Options struct {
 func Suite() []Benchmark {
 	return []Benchmark{
 		{Name: "sim/event-loop", Kind: "micro", Op: benchEventLoop},
+		{Name: "sim/hold", Kind: "micro", Op: benchHold},
 		{Name: "sim/net-send", Kind: "micro", Op: benchNetSend},
 		{Name: "keys/verify-batch", Kind: "micro", Op: benchVerifyBatch},
 		{Name: "lattice/block-hash", Kind: "micro", Op: benchBlockHash},
@@ -57,8 +58,6 @@ func Suite() []Benchmark {
 		{Name: "netsim/tangle-gossip", Kind: "micro", Op: benchTangleGossip},
 		{Name: "netsim/scale-gossip", Kind: "micro", Op: benchScaleGossip},
 		{Name: "netsim/cold-start", Kind: "micro", Op: benchColdStart},
-		{Name: "sim/sharded-loop", Kind: "micro", Op: benchShardedLoop},
-		{Name: "sim/calendar-loop", Kind: "micro", Op: benchCalendarLoop},
 		{Name: "metrics/streaming-quantile", Kind: "micro", Op: benchStreamingQuantile},
 		{Name: "e2e/E1", Kind: "e2e", Op: benchExperiment("E1")},
 		{Name: "e2e/E2", Kind: "e2e", Op: benchExperiment("E2")},
@@ -150,6 +149,26 @@ func benchEventLoop(scale float64, n int) float64 {
 			s.Cancel(id)
 		}
 		s.Run(0)
+	}
+	return 0
+}
+
+// benchHold runs the classic hold model on a deep queue: 10⁵ events
+// pending, and every pop schedules one replacement an exponential delay
+// ahead, so the heap stays at full depth while 2·10⁵ events run. This
+// is the sift cost of mega-scale runs, where the pending population is
+// in the hundreds of thousands.
+func benchHold(scale float64, n int) float64 {
+	pending := scaled(100_000, scale)
+	for op := 0; op < n; op++ {
+		s := sim.New(1)
+		rng := rand.New(rand.NewSource(7))
+		var hold func()
+		hold = func() { s.After(sim.Exp(rng, time.Second), hold) }
+		for i := 0; i < pending; i++ {
+			s.After(sim.Exp(rng, time.Second), hold)
+		}
+		s.Run(uint64(2 * pending))
 	}
 	return 0
 }
@@ -438,53 +457,6 @@ func benchColdStart(scale float64, n int) float64 {
 		tps = m.TPS
 	}
 	return tps
-}
-
-// benchShardedLoop is benchEventLoop on the K-lane sharded queue: the
-// same seeded timer burst spread round-robin over 4 lanes, paying the
-// deterministic cross-lane merge on every pop.
-func benchShardedLoop(scale float64, n int) float64 {
-	events := scaled(5000, scale)
-	for op := 0; op < n; op++ {
-		s := sim.NewSharded(1, 4)
-		rng := rand.New(rand.NewSource(7))
-		var cancel []sim.EventID
-		for i := 0; i < events; i++ {
-			id := s.At(time.Duration(rng.Intn(1000))*time.Millisecond, func() {})
-			if i%10 == 0 {
-				cancel = append(cancel, id)
-			}
-		}
-		for _, id := range cancel {
-			s.Cancel(id)
-		}
-		s.Run(0)
-	}
-	return 0
-}
-
-// benchCalendarLoop is benchEventLoop on the calendar-queue backend:
-// the same seeded timer burst (cancels included) through the bucketed
-// O(1) scheduler instead of the binary heap — the pop/push cost the
-// mega-scale runs pay per event.
-func benchCalendarLoop(scale float64, n int) float64 {
-	events := scaled(5000, scale)
-	for op := 0; op < n; op++ {
-		s := sim.NewQueued(1, 1, sim.QueueCalendar)
-		rng := rand.New(rand.NewSource(7))
-		var cancel []sim.EventID
-		for i := 0; i < events; i++ {
-			id := s.At(time.Duration(rng.Intn(1000))*time.Millisecond, func() {})
-			if i%10 == 0 {
-				cancel = append(cancel, id)
-			}
-		}
-		for _, id := range cancel {
-			s.Cancel(id)
-		}
-		s.Run(0)
-	}
-	return 0
 }
 
 // benchStreamingQuantile drives the fixed-budget estimator through its

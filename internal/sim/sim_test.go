@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -65,6 +66,96 @@ func TestCancel(t *testing.T) {
 	id2 := s.After(time.Second, func() {})
 	s.Run(0)
 	s.Cancel(id2)
+}
+
+// TestPendingCancelFromRunningEvent cancels a pending event from inside
+// a running one: the canceled entry stays in the heap but must neither
+// run nor count in Pending, and a later stale cancel is a no-op.
+func TestPendingCancelFromRunningEvent(t *testing.T) {
+	s := New(5)
+	var fired []string
+	var b EventID
+	s.At(10*time.Millisecond, func() {
+		fired = append(fired, "A")
+		s.Cancel(b)
+		if got := s.Pending(); got != 2 {
+			t.Errorf("Pending() inside A = %d, want 2 (B canceled, C and D left)", got)
+		}
+	})
+	b = s.At(20*time.Millisecond, func() { fired = append(fired, "B") })
+	s.At(30*time.Millisecond, func() { fired = append(fired, "C") })
+	s.At(40*time.Millisecond, func() { fired = append(fired, "D") })
+	if got := s.Pending(); got != 4 {
+		t.Fatalf("Pending() = %d, want 4", got)
+	}
+	s.Run(0)
+	if fmt.Sprint(fired) != "[A C D]" {
+		t.Fatalf("fired = %v, want [A C D]", fired)
+	}
+	if got := s.Pending(); got != 0 {
+		t.Fatalf("Pending() after drain = %d, want 0", got)
+	}
+	s.Cancel(b)
+	if got := s.Pending(); got != 0 || s.EventsRun() != 3 {
+		t.Fatalf("after stale cancel: Pending() = %d, EventsRun() = %d; want 0, 3", got, s.EventsRun())
+	}
+}
+
+// TestPendingCancelUnderDrain cancels random events from inside running
+// ones across a large drain: every event either runs or was canceled
+// before its turn, never both, and Pending and EventsRun agree with that
+// count at every stage.
+func TestPendingCancelUnderDrain(t *testing.T) {
+	const total = 4000
+	s := New(9)
+	rng := rand.New(rand.NewSource(13))
+	fired := make([]bool, total)
+	canceled := make([]bool, total)
+	ids := make([]EventID, 0, total)
+	cancel := func(j int) {
+		s.Cancel(ids[j])
+		if !fired[j] {
+			canceled[j] = true
+		}
+	}
+	var last time.Duration
+	for i := 0; i < total; i++ {
+		i := i
+		at := time.Duration(rng.Intn(2000)) * time.Millisecond
+		ids = append(ids, s.At(at, func() {
+			if canceled[i] || fired[i] {
+				t.Fatalf("event %d ran after cancel or twice", i)
+			}
+			if s.Now() < last {
+				t.Fatalf("event %d ran at %v after %v", i, s.Now(), last)
+			}
+			last = s.Now()
+			fired[i] = true
+			if i%7 == 0 {
+				cancel(rng.Intn(total))
+			}
+		}))
+	}
+	count := func(xs []bool) (n int) {
+		for _, x := range xs {
+			if x {
+				n++
+			}
+		}
+		return n
+	}
+	s.Run(1000)
+	if got, want := s.Pending(), total-1000-count(canceled); got != want {
+		t.Fatalf("Pending() mid-drain = %d, want %d", got, want)
+	}
+	s.Run(0)
+	ran, cut := count(fired), count(canceled)
+	if ran+cut != total || int(s.EventsRun()) != ran || s.Pending() != 0 {
+		t.Fatalf("ran %d + canceled %d != %d, or EventsRun() = %d, Pending() = %d", ran, cut, total, s.EventsRun(), s.Pending())
+	}
+	if cut == 0 {
+		t.Fatal("no event was canceled before its turn; the drain lost its teeth")
+	}
 }
 
 func TestRunUntil(t *testing.T) {
